@@ -7,24 +7,21 @@
  * VARSCHED_TRIALS; the batch runner's worker count honours
  * VARSCHED_THREADS (default: hardware concurrency).
  *
- * Every bench owns a PerfRecorder, which times its runBatch() calls
- * (or, for benches that do not run batches, the whole binary) and
- * merges a per-bench entry into BENCH_PR5.json — the repo's
- * perf-trajectory record — under an advisory file lock, so benches
- * running concurrently (ctest -j) cannot drop each other's entries.
- * Entries carry the per-phase wall-clock breakdown (physics /
- * power-manager / scheduler seconds, and mfg_s for the die-population
- * manufacture phase) reported by the runs. With
- * VARSCHED_BENCH_COMPARE=1 each batch is re-run serially to measure
- * the speedup and to verify that the parallel runner's metrics are
- * bit-identical to the serial path; die-population fan-outs
- * (runDies) get the same serial re-run-and-compare guard.
+ * Every bench owns a PerfRecorder, which routes its runBatch() and
+ * die-population calls and merges a per-bench entry (worker count,
+ * phase-sampling tick counts, est_err and the metrics registry) into
+ * bench_entries.json under an advisory file lock, so benches running
+ * concurrently (ctest -j) cannot drop each other's entries. With
+ * VARSCHED_BENCH_COMPARE=1 each batch and each die-population lot is
+ * re-run serially and the bench aborts unless the parallel result is
+ * bit-identical to the serial path. Host timing lives elsewhere: the
+ * trace spans name the layers, and a speed claim is a same-host A/B
+ * of the benchmark (tools/vsbench_ab.py).
  */
 
 #ifndef VARSCHED_BENCH_COMMON_HH
 #define VARSCHED_BENCH_COMMON_HH
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fcntl.h>
@@ -75,15 +72,6 @@ threadSweep(bool includeTwo)
     return {4, 8, 16, 20};
 }
 
-/** Monotonic wall-clock seconds. */
-inline double
-nowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 /** Exact (bitwise) equality of two summaries. */
 inline bool
 identicalSummary(const Summary &a, const Summary &b)
@@ -127,16 +115,16 @@ identicalBatchResult(const BatchResult &a, const BatchResult &b)
 }
 
 /**
- * Per-bench wall-clock recorder. Times every batch routed through
- * run() and merges one entry into BENCH_PR3.json (path override:
- * VARSCHED_BENCH_JSON) at destruction. Benches without batches
- * record their whole lifetime instead.
+ * Per-bench entry recorder. Runs every batch and die-population lot
+ * routed through it, accumulates the phase-sampling telemetry, and
+ * merges one entry into bench_entries.json (path override:
+ * VARSCHED_BENCH_JSON) at destruction.
  */
 class PerfRecorder
 {
   public:
     explicit PerfRecorder(std::string benchName)
-        : name_(std::move(benchName)), born_(nowSeconds()),
+        : name_(std::move(benchName)),
           compare_(envSize("VARSCHED_BENCH_COMPARE", 0) == 1)
     {}
 
@@ -144,36 +132,15 @@ class PerfRecorder
     PerfRecorder &operator=(const PerfRecorder &) = delete;
 
     /**
-     * Timed runBatch(). Accumulates parallel seconds; in compare mode
-     * also re-runs on one worker, accumulates serial seconds, and
-     * aborts if the two results are not bit-identical.
+     * runBatch() with telemetry. In compare mode the batch is re-run
+     * on one worker and the bench aborts if the two results are not
+     * bit-identical.
      */
     BatchResult
     run(const BatchConfig &batch, std::size_t numThreads,
         const std::vector<SystemConfig> &configs)
     {
-        const double t0 = nowSeconds();
         BatchResult result = runBatch(batch, numThreads, configs);
-        const double wall = nowSeconds() - t0;
-        parallelSec_ += wall;
-        ranBatch_ = true;
-
-        // The per-run phase counters are CPU seconds summed across
-        // workers, so on an N-thread batch their total can exceed the
-        // batch's wall time N-fold. Record the raw CPU sums, and also
-        // attribute each phase a share of this batch's wall clock
-        // proportional to its CPU share (scale == 1 on serial runs,
-        // where the phases are disjoint slices of the wall).
-        physicsCpuSec_ += result.physicsSec;
-        pmCpuSec_ += result.pmSec;
-        schedCpuSec_ += result.schedSec;
-        const double cpuTotal =
-            result.physicsSec + result.pmSec + result.schedSec;
-        const double scale =
-            cpuTotal > wall && cpuTotal > 0.0 ? wall / cpuTotal : 1.0;
-        physicsSec_ += result.physicsSec * scale;
-        pmSec_ += result.pmSec * scale;
-        schedSec_ += result.schedSec * scale;
         exactTicks_ += result.exactTicks;
         sampledTicks_ += result.sampledTicks;
         if (result.estErrMax > estErr_)
@@ -182,10 +149,7 @@ class PerfRecorder
         if (compare_) {
             BatchConfig serial = batch;
             serial.workerThreads = 1;
-            const double s0 = nowSeconds();
             const BatchResult ref = runBatch(serial, numThreads, configs);
-            serialSec_ += nowSeconds() - s0;
-            haveSerial_ = true;
             if (!identicalBatchResult(result, ref)) {
                 std::fprintf(stderr,
                              "%s: parallel batch diverged from the "
@@ -198,67 +162,37 @@ class PerfRecorder
     }
 
     /**
-     * Timed die-population fan-out (runDiePopulation). Accumulates
-     * the manufacture phase into the entry's mfg_s field; in compare
-     * mode the lot is re-run on one worker and the per-die results
-     * must compare equal element-for-element, or the bench aborts —
-     * the fan-out must be bit-identical to the serial loop.
+     * Die-population fan-out (runDiePopulation). In compare mode the
+     * lot is re-run on one worker and the per-die results must
+     * compare equal element-for-element, or the bench aborts — the
+     * fan-out must be bit-identical to the serial loop.
      */
     template <typename Fn>
     auto
     runDies(const DieParams &params,
             const std::vector<std::uint64_t> &seeds, Fn &&perDie)
     {
-        auto run = runDiePopulation(params, seeds, perDie);
-        mfgSec_ += run.mfgSec;
-        haveMfg_ = true;
-
-        if (compare_) {
-            const auto ref = runDiePopulation(params, seeds, perDie, 1);
-            if (run.results != ref.results) {
-                std::fprintf(stderr,
-                             "%s: die-population fan-out diverged "
-                             "from the serial loop\n",
-                             name_.c_str());
-                std::abort();
-            }
+        auto results = runDiePopulation(params, seeds, perDie);
+        if (compare_ &&
+            results != runDiePopulation(params, seeds, perDie, 1)) {
+            std::fprintf(stderr,
+                         "%s: die-population fan-out diverged "
+                         "from the serial loop\n",
+                         name_.c_str());
+            std::abort();
         }
-        return run.results;
+        return results;
     }
 
     ~PerfRecorder()
     {
-        const double parallel =
-            ranBatch_ ? parallelSec_ : nowSeconds() - born_;
-        char serial[64], speedup[64];
-        if (haveSerial_ && parallelSec_ > 0.0) {
-            std::snprintf(serial, sizeof serial, "%.6f", serialSec_);
-            std::snprintf(speedup, sizeof speedup, "%.3f",
-                          serialSec_ / parallelSec_);
-        } else {
-            std::snprintf(serial, sizeof serial, "null");
-            std::snprintf(speedup, sizeof speedup, "null");
-        }
-        char mfg[64];
-        if (haveMfg_)
-            std::snprintf(mfg, sizeof mfg, "%.6f", mfgSec_);
-        else
-            std::snprintf(mfg, sizeof mfg, "null");
-        char head[1024];
+        char head[512];
         std::snprintf(
             head, sizeof head,
             "{\"bench\": \"%s\", \"threads\": %zu, "
-            "\"parallel_s\": %.6f, \"serial_s\": %s, "
-            "\"speedup\": %s, \"physics_s\": %.6f, "
-            "\"pm_s\": %.6f, \"sched_s\": %.6f, "
-            "\"physics_cpu_s\": %.6f, \"pm_cpu_s\": %.6f, "
-            "\"sched_cpu_s\": %.6f, "
-            "\"mfg_s\": %s, "
             "\"exact_ticks\": %llu, \"sampled_ticks\": %llu, "
-            "\"est_err\": %.6f, \"cg_free_thermal\": true",
-            name_.c_str(), configuredThreads(), parallel, serial,
-            speedup, physicsSec_, pmSec_, schedSec_, physicsCpuSec_,
-            pmCpuSec_, schedCpuSec_, mfg,
+            "\"est_err\": %.6f",
+            name_.c_str(), configuredThreads(),
             static_cast<unsigned long long>(exactTicks_),
             static_cast<unsigned long long>(sampledTicks_), estErr_);
         // The process-wide registry carries everything the
@@ -289,7 +223,7 @@ class PerfRecorder
      * lock the orphaned inode. Without the lock, benches running
      * concurrently (ctest -j, parallel make targets) interleave their
      * read and rename steps and silently drop each other's entries —
-     * exactly how BENCH_PR2.json ended up with 1 of 24 benches.
+     * exactly how an early record ended up with 1 of 24 benches.
      *
      * A truncated or otherwise corrupt existing file (e.g. a bench
      * killed mid-write on a filesystem where rename is not atomic, or
@@ -304,7 +238,7 @@ class PerfRecorder
     mergeJson(const std::string &entry) const
     {
         const char *env = std::getenv("VARSCHED_BENCH_JSON");
-        const std::string path = env ? env : "BENCH_PR5.json";
+        const std::string path = env ? env : "bench_entries.json";
 
         const int lockFd = acquireSidecarLock(path);
 
@@ -371,23 +305,7 @@ class PerfRecorder
     }
 
     std::string name_;
-    double born_;
     bool compare_;
-    bool ranBatch_ = false;
-    bool haveSerial_ = false;
-    bool haveMfg_ = false;
-    double parallelSec_ = 0.0;
-    double serialSec_ = 0.0;
-    double mfgSec_ = 0.0;
-    // Phase breakdown from the primary (parallel) runs: wall-clock
-    // attribution (each batch's wall split by CPU share, so the three
-    // never sum past parallel_s) and the raw cross-thread CPU sums.
-    double physicsSec_ = 0.0;
-    double pmSec_ = 0.0;
-    double schedSec_ = 0.0;
-    double physicsCpuSec_ = 0.0;
-    double pmCpuSec_ = 0.0;
-    double schedCpuSec_ = 0.0;
     // Phase-sampling telemetry: summed tick counts, worst est_err.
     std::uint64_t exactTicks_ = 0;
     std::uint64_t sampledTicks_ = 0;

@@ -1,7 +1,6 @@
 #include "core/system.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -477,10 +476,6 @@ SystemSimulator::runImpl(RunMode mode)
     ChipCondition cond;
     bool haveCondition = false;
 
-    const auto now = []() { return std::chrono::steady_clock::now(); };
-    using Sec = std::chrono::duration<double>;
-    double physicsSec = 0.0, pmSec = 0.0, schedSec = 0.0;
-
     // Steady-state condition cache: `steady` holds the pristine
     // solution of the last settled (work, levels) pair. When the
     // inputs are unchanged since that solve, the solution is reused
@@ -616,7 +611,6 @@ SystemSimulator::runImpl(RunMode mode)
         // Threads on cores that failed since the last interval are
         // remapped here (failed cores are masked out of the pools).
         if (tick % osPeriod == 0) {
-            const auto t0 = now();
             TRACE_SCOPE("sched.place");
             if (config_.sched == SchedAlgo::ThermalAware &&
                 haveCondition) {
@@ -626,7 +620,6 @@ SystemSimulator::runImpl(RunMode mode)
                 assignment = scheduleThreads(config_.sched, die_,
                                              apps_, rng, &coreOk);
             }
-            schedSec += Sec(now() - t0).count();
             // A remap moves heat and work across cores: the frozen
             // basis no longer describes the chip. The workload mix is
             // unchanged though — only the mapping stepped — so this is
@@ -644,7 +637,6 @@ SystemSimulator::runImpl(RunMode mode)
         if (!haveCondition) {
             // First tick: settle once before the power manager reads
             // its sensors.
-            const auto t0 = now();
             if (config_.transientThermal) {
                 TRACE_SCOPE("physics.settle");
                 cond = evaluator_.evaluate(work, coreLevels, uniFreq);
@@ -652,7 +644,6 @@ SystemSimulator::runImpl(RunMode mode)
                 settleSteady();
             }
             haveCondition = true;
-            physicsSec += Sec(now() - t0).count();
         }
 
         // Epoch decision first, then the per-tick signature: a forced
@@ -689,11 +680,8 @@ SystemSimulator::runImpl(RunMode mode)
                 preBasisPowerW = cond.totalPowerW;
                 preBasisMips = cond.totalMips;
                 haveBasisForEst = true;
-                const auto ts = now();
                 settleSteady();
-                physicsSec += Sec(now() - ts).count();
             }
-            const auto t0 = now();
             TRACE_SCOPE("pm.decide");
             TRACE_INSTANT("pm.epoch", "epoch",
                           static_cast<double>(epochIndex));
@@ -721,7 +709,6 @@ SystemSimulator::runImpl(RunMode mode)
                 coreLevels[core] = applied;
             }
             transitionSteps += static_cast<long>(decisionSteps);
-            pmSec += Sec(now() - t0).count();
             // Note: no level-swing criterion here. An optimiser on a
             // degenerate solution manifold legitimately walks cores
             // across much of the level range between draws while the
@@ -739,7 +726,6 @@ SystemSimulator::runImpl(RunMode mode)
             const double preMips =
                 haveBasisForEst ? preBasisMips : cond.totalMips;
             haveBasisForEst = false;
-            const auto t0 = now();
             if (config_.transientThermal) {
                 TRACE_SCOPE("physics.transient");
                 cond = evaluator_.evaluateTransient(
@@ -747,7 +733,6 @@ SystemSimulator::runImpl(RunMode mode)
             } else {
                 settleSteady();
             }
-            physicsSec += Sec(now() - t0).count();
             if (sampledMode) {
                 const auto rel = [](double a, double b) {
                     const double den =
@@ -995,9 +980,6 @@ SystemSimulator::runImpl(RunMode mode)
     result.capViolationFraction = config_.pm != PmKind::None
         ? capViolationFraction(result.powerTrace, config_.ptargetW)
         : 0.0;
-    result.physicsSec = physicsSec;
-    result.pmSec = pmSec;
-    result.schedSec = schedSec;
     result.exactTicks = exactTickCount;
     result.sampledTicks = sampledTickCount;
     const PhaseSamplerStats &sstats = sampler.stats();

@@ -215,14 +215,6 @@ struct SystemResult
     /** Cores permanently failed during the run. */
     std::size_t coresFailed = 0;
 
-    // Per-phase wall-clock breakdown of run() (seconds). Lets the
-    // bench record show where ticks go: settling the chip physics,
-    // running the power manager (snapshot + selectLevels +
-    // actuation), or making OS-interval scheduling decisions.
-    double physicsSec = 0.0; ///< Chip evaluation time.
-    double pmSec = 0.0;      ///< Power-manager time.
-    double schedSec = 0.0;   ///< Scheduler time.
-
     // Phase-sampling telemetry (zero when phaseSampling is off).
 
     /** Ticks settled exactly (all ticks when sampling is off). */

@@ -99,8 +99,8 @@ LeakageModel::corePowerSampled(const std::vector<double> &vthSamples,
     // (autovectorizable) sweep, and only the exp() fold itself runs
     // through libm. Each subexpression keeps the exact shape of
     // expArg()/subthresholdCoreEquivalent(), and the summation order
-    // is unchanged, so the result is bit-identical to the scalar
-    // reference (corePowerSampledRef).
+    // is unchanged, so the result is bit-identical to the per-sample
+    // scalar fold.
     const std::size_t n = vthSamples.size();
     const double dVth =
         params_.vthTempCoeff * (tempC - params_.refTempC);
@@ -130,27 +130,6 @@ LeakageModel::corePowerSampled(const std::vector<double> &vthSamples,
     // Gate (tunnelling) leakage falls very steeply with voltage;
     // model it as V^4 (between the V^4-V^5 dependence of thin-oxide
     // tunnelling models).
-    const double vr = v / params_.nominalVdd;
-    const double gate = params_.nominalCoreGateW * vr * vr * vr * vr;
-
-    return subthreshold + gate;
-}
-
-double
-LeakageModel::corePowerSampledRef(const std::vector<double> &vthSamples,
-                                  double sigmaRandom, double v,
-                                  double tempC, double vthShift) const
-{
-    const double nvt = params_.slopeFactor * thermalVoltage(tempC);
-    const double randomBoost =
-        std::exp(sigmaRandom * sigmaRandom / (2.0 * nvt * nvt));
-
-    double sum = 0.0;
-    for (const double vth : vthSamples)
-        sum += subthresholdCoreEquivalent(vth + vthShift, v, tempC);
-    const double subthreshold =
-        randomBoost * sum / static_cast<double>(vthSamples.size());
-
     const double vr = v / params_.nominalVdd;
     const double gate = params_.nominalCoreGateW * vr * vr * vr * vr;
 

@@ -112,23 +112,14 @@ class LeakageModel
      * The fold runs as one contiguous sweep over the samples with the
      * per-(V, T) invariants (temperature-shifted Vth offset, thermal
      * voltage, T^2 prefactor) hoisted out of the loop, leaving exp()
-     * as the only per-sample transcendental. The pre-batching
-     * per-sample evaluation is kept as corePowerSampledRef(); the
-     * sweep must agree with it within 1e-12 relative (bit-identical
-     * today — the hoisting only names loop-invariant subexpressions).
+     * as the only per-sample transcendental. The tests keep the
+     * pre-batching per-sample evaluation as an oracle; the sweep must
+     * agree with it within 1e-12 relative (bit-identical today — the
+     * hoisting only names loop-invariant subexpressions).
      */
     double corePowerSampled(const std::vector<double> &vthSamples,
                             double sigmaRandom, double v, double tempC,
                             double vthShift = 0.0) const;
-
-    /**
-     * Scalar reference for corePowerSampled(): per-sample
-     * subthresholdCoreEquivalent() calls in the same order. For the
-     * batched-kernel agreement tests.
-     */
-    double corePowerSampledRef(const std::vector<double> &vthSamples,
-                               double sigmaRandom, double v, double tempC,
-                               double vthShift = 0.0) const;
 
     /** Static power of one L2 block at the given operating point. */
     double l2BlockPower(const VariationMap &map, const Floorplan &plan,

@@ -47,19 +47,11 @@ diePopulationSeeds(std::size_t count, std::uint64_t lotSeed)
     return seeds;
 }
 
-/** Result of a die-population run. */
-template <typename R>
-struct DiePopulationRun
-{
-    /** Per-die results, ordered by die index regardless of workers. */
-    std::vector<R> results;
-    /** Wall-clock seconds spent manufacturing + evaluating the lot. */
-    double mfgSec = 0.0;
-};
-
 /**
  * Manufacture Die(params, seeds[i]) for every i and evaluate
  * perDie(die, i), fanning the lot across VARSCHED_THREADS workers.
+ * Returns the per-die results, ordered by die index regardless of
+ * the worker count.
  *
  * @param perDie Callable (const Die &, std::size_t index) -> R. Must
  *        be a pure function of its arguments (it runs concurrently
@@ -72,15 +64,12 @@ auto
 runDiePopulation(const DieParams &params,
                  const std::vector<std::uint64_t> &seeds, Fn &&perDie,
                  std::size_t workerOverride = 0)
-    -> DiePopulationRun<std::decay_t<
+    -> std::vector<std::decay_t<
         std::invoke_result_t<Fn &, const Die &, std::size_t>>>
 {
-    using R = std::decay_t<
-        std::invoke_result_t<Fn &, const Die &, std::size_t>>;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    DiePopulationRun<R> run;
-    run.results.resize(seeds.size());
+    std::vector<std::decay_t<
+        std::invoke_result_t<Fn &, const Die &, std::size_t>>>
+        results(seeds.size());
 
     const std::size_t workers = std::min(
         workerOverride > 0 ? workerOverride : configuredThreads(),
@@ -101,7 +90,7 @@ runDiePopulation(const DieParams &params,
     if (workers <= 1) {
         for (std::size_t i = 0; i < seeds.size(); ++i) {
             const Die die(params, seeds[i]);
-            run.results[i] = timedPerDie(die, i);
+            results[i] = timedPerDie(die, i);
         }
     } else {
         // Grain 1: manufacturing a die costs milliseconds, so
@@ -114,15 +103,11 @@ runDiePopulation(const DieParams &params,
             seeds.size(),
             [&](std::size_t i) {
                 const Die die(params, seeds[i]);
-                run.results[i] = timedPerDie(die, i);
+                results[i] = timedPerDie(die, i);
             },
             1);
     }
-
-    run.mfgSec = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-    return run;
+    return results;
 }
 
 } // namespace varsched

@@ -138,17 +138,6 @@ ThermalModel::solve(const std::vector<double> &corePowerW,
 
     const std::vector<double> temps = choleskySolve(factor_, rhs);
 
-#ifndef NDEBUG
-    // First call: the direct solve must agree with the iterative CG
-    // path it replaced.
-    std::call_once(*selfCheck_, [&]() {
-        const std::vector<double> cg = solveCG(conductance_, rhs, 1e-12);
-        for (std::size_t i = 0; i < n; ++i)
-            assert(std::abs(temps[i] - cg[i]) <
-                   1e-9 * std::max(1.0, std::abs(cg[i])));
-    });
-#endif
-
     ThermalResult result;
     result.coreTempC.assign(temps.begin(),
                             temps.begin() + static_cast<long>(numCores_));

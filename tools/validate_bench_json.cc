@@ -1,34 +1,20 @@
 /**
  * @file
- * Schema validator for BENCH_PR5.json, the per-bench perf-trajectory
- * record the bench binaries emit (see bench/common.hh). Used by the
- * bench_smoke CTest label: after every bench has run at tiny batch
- * sizes, this tool checks the merged file so a malformed emitter
- * fails CI instead of silently corrupting the perf history.
+ * Schema validator for bench_entries.json, the per-bench record the
+ * bench binaries emit (see bench/common.hh). Used by the bench_smoke
+ * CTest label: after every bench has run at tiny batch sizes, this
+ * tool checks the merged file so a malformed emitter fails CI instead
+ * of silently corrupting the record.
  *
  * Expected shape: a JSON array, one object per line, each with
  *   bench          non-empty string
  *   threads        integer >= 1
- *   parallel_s     number >= 0
- *   serial_s       number >= 0, or null when not measured
- *   speedup        number > 0, or null when not measured
- *   physics_s      number >= 0 (chip-evaluation wall seconds)
- *   pm_s           number >= 0 (power-manager wall seconds)
- *   sched_s        number >= 0 (scheduler wall seconds)
- *   physics_cpu_s  number >= 0 (chip-evaluation CPU seconds summed
- *                  across workers; >= physics_s by construction)
- *   pm_cpu_s       number >= 0 (power-manager CPU seconds)
- *   sched_cpu_s    number >= 0 (scheduler CPU seconds)
- *   mfg_s          number >= 0 (die-manufacture seconds), or null;
- *                  must be non-null for the die-population benches
- *                  (they route their lots through runDies())
  *   exact_ticks    integer >= 0 (ticks settled exactly)
  *   sampled_ticks  integer >= 0 (ticks extrapolated by the
  *                  phase-sampled engine; 0 when sampling is off)
  *   est_err        number in [0, 1] (worst run-level estimated
  *                  relative error introduced by extrapolation)
- *   cg_free_thermal  true
- *   metrics        object (PR 9+): counters and gauges as finite
+ *   metrics        object: counters and gauges as finite
  *                  non-negative numbers keyed by name, histograms as
  *                  nested {"count", "sum", "min", "max", "p50",
  *                  "p90", "p99", "buckets": [[upper_bound, count],
@@ -233,20 +219,6 @@ finiteNonNegative(const std::string &s, double &v)
 }
 
 bool
-isNumber(const std::string &s, bool allowNull, bool requireNonNegative)
-{
-    if (allowNull && s == "null")
-        return true;
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == nullptr || *end != '\0')
-        return false;
-    return !requireNonNegative || v >= 0.0;
-}
-
-bool
 fail(std::size_t entry, const char *what)
 {
     std::fprintf(stderr, "bench JSON entry %zu: %s\n", entry, what);
@@ -423,62 +395,7 @@ validateEntry(std::size_t index, const std::string &object,
     if (threads.empty() || end == nullptr || *end != '\0' || t < 1)
         return fail(index, "\"threads\" must be an integer >= 1");
 
-    if (!isNumber(rawValue(object, "parallel_s"), false, true))
-        return fail(index, "\"parallel_s\" must be a number >= 0");
-    if (!isNumber(rawValue(object, "serial_s"), true, true))
-        return fail(index, "\"serial_s\" must be a number >= 0 or null");
-    if (!isNumber(rawValue(object, "speedup"), true, true))
-        return fail(index, "\"speedup\" must be a number or null");
-
-    // serial_s and speedup must be measured together.
-    const bool haveSerial = rawValue(object, "serial_s") != "null";
-    const bool haveSpeedup = rawValue(object, "speedup") != "null";
-    if (haveSerial != haveSpeedup)
-        return fail(index, "serial_s and speedup must both be set "
-                           "or both null");
-
-    // Per-phase breakdown (PR 3+ entries). As of PR 7 the plain *_s
-    // keys are wall-attributed (a batch's wall clock split by CPU
-    // share) and the raw cross-thread CPU sums moved to *_cpu_s; the
-    // wall phases must therefore fit inside the measured wall time.
-    if (!isNumber(rawValue(object, "physics_s"), false, true))
-        return fail(index, "\"physics_s\" must be a number >= 0");
-    if (!isNumber(rawValue(object, "pm_s"), false, true))
-        return fail(index, "\"pm_s\" must be a number >= 0");
-    if (!isNumber(rawValue(object, "sched_s"), false, true))
-        return fail(index, "\"sched_s\" must be a number >= 0");
-    if (!isNumber(rawValue(object, "physics_cpu_s"), false, true))
-        return fail(index, "\"physics_cpu_s\" must be a number >= 0");
-    if (!isNumber(rawValue(object, "pm_cpu_s"), false, true))
-        return fail(index, "\"pm_cpu_s\" must be a number >= 0");
-    if (!isNumber(rawValue(object, "sched_cpu_s"), false, true))
-        return fail(index, "\"sched_cpu_s\" must be a number >= 0");
-    const double wallPhases =
-        std::strtod(rawValue(object, "physics_s").c_str(), nullptr) +
-        std::strtod(rawValue(object, "pm_s").c_str(), nullptr) +
-        std::strtod(rawValue(object, "sched_s").c_str(), nullptr);
-    const double parallelS =
-        std::strtod(rawValue(object, "parallel_s").c_str(), nullptr);
-    if (wallPhases > parallelS * 1.01 + 1e-3)
-        return fail(index, "wall-attributed phases exceed parallel_s "
-                           "(per-thread CPU sums leaked into *_s?)");
-
-    // Die-manufacture phase (PR 5+ entries): null for benches that
-    // never run a die population, required for the four that do.
-    if (!isNumber(rawValue(object, "mfg_s"), true, true))
-        return fail(index, "\"mfg_s\" must be a number >= 0 or null");
-    static const std::set<std::string> diePopulationBenches = {
-        "\"bench_ext_yield\"",
-        "\"bench_fig04_variation\"",
-        "\"bench_fig05_sigma_sweep\"",
-        "\"bench_ext_abb\"",
-    };
-    if (diePopulationBenches.count(bench) != 0 &&
-        rawValue(object, "mfg_s") == "null")
-        return fail(index, "\"mfg_s\" must be non-null for "
-                           "die-population benches");
-
-    // Phase-sampling telemetry (PR 8+ entries).
+    // Phase-sampling telemetry.
     const auto isCount = [&](const char *key) {
         const std::string v = rawValue(object, key);
         char *tail = nullptr;
@@ -489,15 +406,12 @@ validateEntry(std::size_t index, const std::string &object,
         return fail(index, "\"exact_ticks\" must be an integer >= 0");
     if (!isCount("sampled_ticks"))
         return fail(index, "\"sampled_ticks\" must be an integer >= 0");
-    if (!isNumber(rawValue(object, "est_err"), false, true))
-        return fail(index, "\"est_err\" must be a number >= 0");
-    if (std::strtod(rawValue(object, "est_err").c_str(), nullptr) > 1.0)
-        return fail(index, "\"est_err\" must be <= 1");
+    double estErr = 0.0;
+    if (!finiteNonNegative(rawValue(object, "est_err"), estErr) ||
+        estErr > 1.0)
+        return fail(index, "\"est_err\" must be a number in [0, 1]");
 
-    if (rawValue(object, "cg_free_thermal") != "true")
-        return fail(index, "\"cg_free_thermal\" must be true");
-
-    // Observability payload (PR 9+ entries).
+    // Observability payload.
     return validateMetrics(index, object);
 }
 
@@ -506,7 +420,7 @@ validateEntry(std::size_t index, const std::string &object,
 int
 main(int argc, char **argv)
 {
-    const char *path = argc > 1 ? argv[1] : "BENCH_PR5.json";
+    const char *path = argc > 1 ? argv[1] : "bench_entries.json";
     std::FILE *in = std::fopen(path, "r");
     if (in == nullptr) {
         std::fprintf(stderr, "cannot open %s\n", path);

@@ -405,13 +405,13 @@ runWorker(const Options &opt, const GridPoint &point)
     out += buf;
 
     if (point.kind == "ratios") {
-        const auto run = runDiePopulation(
+        const auto ratios = runDiePopulation(
             params, seeds, [](const Die &die, std::size_t) {
                 return bench::coreRatios(die);
             });
         Summary power, freq;
         std::string perDiePower, perDieFreq;
-        for (const bench::DieRatios &r : run.results) {
+        for (const bench::DieRatios &r : ratios) {
             power.add(r.power);
             freq.add(r.freq);
             std::snprintf(buf, sizeof buf, "%s%.17g",
@@ -430,14 +430,14 @@ runWorker(const Options &opt, const GridPoint &point)
     } else if (point.kind == "yield") {
         const double powerLimitW = 120.0;
         const std::vector<double> targetsGHz = {2.2, 2.5, 2.8, 3.1};
-        const auto run = runDiePopulation(
+        const auto yields = runDiePopulation(
             params, seeds, [](const Die &die, std::size_t) {
                 return bench::dieYield(die);
             });
         Summary clock;
         std::vector<std::size_t> meets(targetsGHz.size(), 0);
         std::size_t powerOk = 0;
-        for (const bench::DieYield &y : run.results) {
+        for (const bench::DieYield &y : yields) {
             clock.add(y.clockHz);
             const bool power = y.staticW <= powerLimitW;
             powerOk += power;
