@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <list>
 #include <map>
 #include <numbers>
@@ -195,9 +196,12 @@ TEST(SigmaSweepProperty, FrequencySpreadGrowsWithSigma)
 // Power-manager feasibility across seeds and budgets.
 // ---------------------------------------------------------------
 
+// `nameTag` fills the padding word after `seed`; see CorrCase in
+// test_field.cc for why the ctest names depend on it.
 struct PmCase
 {
     int seed;
+    std::uint32_t nameTag;
     double ptarget20;
 };
 
@@ -247,10 +251,10 @@ TEST_P(PmFeasibilityTest, ManagersMeetReachableBudgets)
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndBudgets, PmFeasibilityTest,
-    ::testing::Values(PmCase{1, 50.0}, PmCase{2, 50.0},
-                      PmCase{3, 75.0}, PmCase{4, 75.0},
-                      PmCase{5, 100.0}, PmCase{6, 100.0},
-                      PmCase{7, 30.0}, PmCase{8, 150.0}));
+    ::testing::Values(PmCase{1, 0, 50.0}, PmCase{2, 0x557D, 50.0},
+                      PmCase{3, 0, 75.0}, PmCase{4, 0x557D, 75.0},
+                      PmCase{5, 0, 100.0}, PmCase{6, 0x557D, 100.0},
+                      PmCase{7, 0, 30.0}, PmCase{8, 0x557D, 150.0}));
 
 // ---------------------------------------------------------------
 // Snapshot monotonicity: raising any core's level raises its power
