@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "runtime/trace.hh"
+
 namespace varsched
 {
 
@@ -21,6 +23,12 @@ makeMap(const DieParams &params, std::uint64_t dieSeed)
 } // namespace
 
 Die::Die(const DieParams &params, std::uint64_t dieSeed)
+    : Die(params, dieSeed, trace::Scope("chip.manufacture"))
+{
+}
+
+Die::Die(const DieParams &params, std::uint64_t dieSeed,
+         const trace::Scope &)
     : params_(params), seed_(dieSeed),
       plan_(params.numCores, params.dieAreaMm2),
       map_(makeMap(params, dieSeed)), leakModel_(params.leakage),

@@ -64,6 +64,11 @@ struct DieParams
     double abbMaxBiasV = 0.06;
 };
 
+namespace trace
+{
+class Scope;
+}
+
 /** One manufactured die. */
 class Die
 {
@@ -129,6 +134,15 @@ class Die
     std::uint64_t seed() const { return seed_; }
 
   private:
+    /**
+     * The public constructor's work. @p span is a temporary made by
+     * the delegating call, so it lives until this constructor returns
+     * and the chip.manufacture span covers the member initialisers
+     * (the variation map) as well as the body.
+     */
+    Die(const DieParams &params, std::uint64_t dieSeed,
+        const trace::Scope &span);
+
     DieParams params_;
     std::uint64_t seed_;
     Floorplan plan_;

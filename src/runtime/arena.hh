@@ -2,10 +2,11 @@
  * @file
  * Bump-pointer scratch arena for die-population hot loops.
  *
- * Manufacturing one die allocates ~3 MB of short-lived scratch (the
- * m x m circulant noise plane plus Box-Muller staging buffers) that
- * was previously round-tripping operator new — and, for vectors,
- * paying a zero-fill the generator immediately overwrites. The arena
+ * Manufacturing one die allocates ~1 MB of short-lived scratch (the
+ * column buffers of the fused circulant field synthesis plus one row
+ * and its Box-Muller staging) that would otherwise round-trip
+ * operator new — and, for vectors, pay a zero-fill the generator
+ * immediately overwrites. The arena
  * keeps its blocks alive across dies (thread-local, one per pool
  * worker), so steady-state manufacture does no allocation at all and
  * the pages stay first-touch-local to the worker that uses them —
@@ -131,8 +132,9 @@ class BumpArena
 
     /**
      * Opt-in transparent-hugepage backing (VARSCHED_HUGEPAGES=1): the
-     * noise planes are multi-megabyte and live for the whole sweep, so
-     * 2 MB pages cut dTLB misses in the circulant-row walks. Strictly
+     * field-synthesis column buffers are a megabyte and live for the
+     * whole sweep, so 2 MB pages cut dTLB misses in their strided
+     * per-row writes. Strictly
      * best-effort — anything that fails (no aligned memory, no
      * madvise, non-Linux host) falls back to the plain new[] path.
      */
@@ -241,7 +243,7 @@ class BumpArena
 
 /**
  * The per-thread scratch arena the die-manufacture hot path draws
- * from (variation-field noise planes, batched-kernel staging). One
+ * from (variation-field column buffers, batched-kernel staging). One
  * arena per pool worker: no locks, and pages are first-touched by
  * their own worker.
  */

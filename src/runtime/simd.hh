@@ -531,40 +531,26 @@ axpyNeg(double *y, double a, const double *x, std::size_t n)
 }
 
 /**
- * One radix-2 butterfly stage over a lo/hi span pair:
+ * The first @p count butterflies of one radix-2 stage over a lo/hi
+ * span pair:
  *   v = hi[k] * w_k;  hi[k] = lo[k] - v;  lo[k] = lo[k] + v
- * with w_k = tw[k*stride] (conjugated for inverse transforms). The
- * scalar branch is the exact pre-SIMD loop from solver/fft.cc; the
+ * with w_k = tw[k] read contiguously — FftPlan stores each stage's
+ * factors in order with the transform direction already applied. The
  * AVX2 branch does two butterflies per iteration with the
- * addsub-based complex multiply (FMA-contracted in native builds,
- * same operations otherwise).
+ * addsub-based complex multiply (FMA-contracted); the scalar loop
+ * spells the product as GCC lowers a std::complex multiply.
  */
 inline void
 butterflyStage(std::complex<double> *lo, std::complex<double> *hi,
-               const std::complex<double> *tw, std::size_t stride,
-               std::size_t half, bool inverse)
+               const std::complex<double> *tw, std::size_t count)
 {
+    std::size_t k = 0;
 #if defined(VARSCHED_SIMD_AVX2)
-    if (enabled() && half >= 2) {
-        const __m256d conjMask = inverse
-            ? _mm256_setr_pd(0.0, -0.0, 0.0, -0.0)
-            : _mm256_setzero_pd();
-        std::size_t k = 0;
-        for (; k + 2 <= half; k += 2) {
-            // w = [w0.re, w0.im, w1.re, w1.im], conjugated if inverse.
-            __m256d w;
-            if (stride == 1) {
-                w = _mm256_loadu_pd(
-                    reinterpret_cast<const double *>(tw + k));
-            } else {
-                w = _mm256_set_m128d(
-                    _mm_loadu_pd(reinterpret_cast<const double *>(
-                        tw + (k + 1) * stride)),
-                    _mm_loadu_pd(reinterpret_cast<const double *>(
-                        tw + k * stride)));
-            }
-            w = _mm256_xor_pd(w, conjMask);
-
+    if (enabled()) {
+        for (; k + 2 <= count; k += 2) {
+            // w = [w0.re, w0.im, w1.re, w1.im].
+            const __m256d w =
+                _mm256_loadu_pd(reinterpret_cast<const double *>(tw + k));
             const __m256d h = _mm256_loadu_pd(
                 reinterpret_cast<const double *>(hi + k));
             const __m256d u = _mm256_loadu_pd(
@@ -580,25 +566,13 @@ butterflyStage(std::complex<double> *lo, std::complex<double> *hi,
             _mm256_storeu_pd(reinterpret_cast<double *>(hi + k),
                              _mm256_sub_pd(u, v));
         }
-        for (; k < half; ++k) {
-            const std::complex<double> &t = tw[k * stride];
-            const std::complex<double> w = inverse ? std::conj(t) : t;
-            const std::complex<double> u = lo[k];
-            const std::complex<double> v =
-                std::complex<double>(
-                    hi[k].real() * w.real() - hi[k].imag() * w.imag(),
-                    hi[k].imag() * w.real() + hi[k].real() * w.imag());
-            lo[k] = u + v;
-            hi[k] = u - v;
-        }
-        return;
     }
 #endif
-    for (std::size_t k = 0; k < half; ++k) {
-        const std::complex<double> &t = tw[k * stride];
-        const std::complex<double> w = inverse ? std::conj(t) : t;
+    for (; k < count; ++k) {
+        const double a = hi[k].real(), b = hi[k].imag();
+        const double c = tw[k].real(), d = tw[k].imag();
         const std::complex<double> u = lo[k];
-        const std::complex<double> v = hi[k] * w;
+        const std::complex<double> v(a * c - b * d, a * d + b * c);
         lo[k] = u + v;
         hi[k] = u - v;
     }

@@ -12,6 +12,7 @@
 
 #include "runtime/arena.hh"
 #include "runtime/simd.hh"
+#include "runtime/trace.hh"
 #include "solver/fft.hh"
 #include "solver/matrix.hh"
 #include "varius/correlation.hh"
@@ -168,10 +169,10 @@ generateCholesky(std::size_t n, double phi, Rng &rng)
 /**
  * The die-independent half of circulant-embedding generation: the
  * embedding size, the square-root eigenvalue amplitudes (already
- * scaled for the unnormalised inverse FFT), and the unit-variance
- * rescale. Every die of a batch shares it, so it is cached keyed by
- * (n, phi) like the Cholesky factors — this removes the covariance
- * fill and the *forward* FFT from the per-die cost entirely.
+ * scaled for the unnormalised synthesis transform), and the
+ * unit-variance rescale. Every die of a batch shares it, so it is
+ * cached keyed by (n, phi) like the Cholesky factors — this removes
+ * the covariance fill and its eigenvalue FFT from the per-die cost.
  */
 struct CirculantSpectrum
 {
@@ -240,12 +241,28 @@ circulantSpectrum(std::size_t n, double phi)
 
 /**
  * Circulant-embedding generation (Dietrich & Newsam): colour complex
- * white noise with the cached square-root spectrum, inverse-transform,
- * and crop the top-left n x n corner. The real and imaginary planes
- * of the result are two *independent* unit-variance realisations of
- * the same covariance (the classic Dietrich–Newsam two-for-one), so
- * one synthesis yields a pair of fields; @p second may be null when
- * only one is wanted.
+ * white noise with the cached square-root spectrum, transform it, and
+ * crop the top-left n x n corner. The real and imaginary planes of
+ * the result are two *independent* unit-variance realisations of the
+ * same covariance (the classic Dietrich–Newsam two-for-one), so one
+ * synthesis yields a pair of fields; @p second may be null when only
+ * one is wanted.
+ *
+ * The transform is the forward, unnormalised 2-D DFT. The textbook
+ * recipe uses the inverse one, but on coloured white complex noise
+ * the two are statistically identical: the inverse DFT of a sequence
+ * is the forward DFT of its index-reversed copy, and since the
+ * amplitude spectrum is symmetric (λ_k = λ_−k) the index-reversed
+ * noise has the same distribution. The amplitudes already carry the
+ * 1/(m·m) scale.
+ *
+ * The 2-D transform is fused with the noise fill: each torus row is
+ * drawn (row-major, the RNG's draw order) straight into bit-reversed
+ * positions, transformed with only its first n outputs kept, and
+ * those n values go into n column buffers; then the n columns are
+ * transformed, again keeping n outputs, and cropped. No m x m plane
+ * is ever stored, and every kept value is bit-identical to cropping
+ * the full 2-D transform of the whole noise plane.
  */
 FieldSample
 generateCirculant(std::size_t n, double phi, Rng &rng,
@@ -254,73 +271,83 @@ generateCirculant(std::size_t n, double phi, Rng &rng,
     const std::shared_ptr<const CirculantSpectrum> sp =
         circulantSpectrum(n, phi);
     const std::size_t m = sp->m;
-    const std::size_t total = m * m;
     const double rescale = sp->rescale;
-    const double *amp = sp->amp.data();
+    const FftPlan &plan = FftPlan::forLength(m);
 
-    // The noise plane and Box-Muller staging are per-die scratch —
-    // several MB that the arena hands back without malloc or the
-    // zero-fill a std::vector resize would pay.
+    // Per-die scratch (one row, n columns of m, ~1 MB at Table 4's
+    // n = 128, m = 512) that the arena hands back without malloc or
+    // the zero-fill a std::vector resize would pay. Column c collects
+    // output c of every row transform.
     BumpArena &arena = dieScratchArena();
     const BumpArena::Scope scope(arena);
-    std::complex<double> *spec = arena.alloc<std::complex<double>>(total);
+    std::complex<double> *row = arena.alloc<std::complex<double>>(m);
+    std::complex<double> *cols = arena.alloc<std::complex<double>>(n * m);
 
-    if (simd::enabled() && !rng.hasNormalSpare()) {
-        // Vectorised Box-Muller: stage the uniforms with the exact
-        // draw order of Rng::normal() — one rejected-zero u1 and one
-        // u2 per complex point, each point consuming exactly one
-        // Box-Muller pair (cos half = Im, sin half = Re, matching the
-        // scalar branch's draw order below) — so the RNG leaves this
-        // loop in the same state as the scalar path and every
-        // downstream draw matches. Values agree with the scalar
-        // transform to <= 1e-12.
-        double *u1 = arena.alloc<double>(total);
-        double *u2 = arena.alloc<double>(total);
-        double *cosHalf = arena.alloc<double>(total);
-        double *sinHalf = arena.alloc<double>(total);
-        for (std::size_t i = 0; i < total; ++i) {
-            double a = 0.0;
-            while (a == 0.0)
-                a = rng.uniform();
-            u1[i] = a;
-            u2[i] = rng.uniform();
-        }
-        simd::boxMullerSweep(u1, u2, cosHalf, sinHalf, total);
-        for (std::size_t i = 0; i < total; ++i) {
-            spec[i] = std::complex<double>(amp[i] * sinHalf[i],
-                                           amp[i] * cosHalf[i]);
-        }
-    } else {
-        for (std::size_t i = 0; i < total; ++i) {
-            // Drawn imaginary-half first: the committed golden fields
-            // bake in the evaluation order the original
-            //   complex(amp * normal(), amp * normal())
-            // constructor call produced (right-to-left on this
-            // toolchain), so the order is now explicit. The first
-            // normal of a Box-Muller pair is the cos half.
-            const double im = amp[i] * rng.normal();
-            const double re = amp[i] * rng.normal();
-            spec[i] = std::complex<double>(re, im);
-        }
+    // Vectorised Box-Muller: stage one row's uniforms with the exact
+    // draw order of Rng::normal() — one rejected-zero u1 and one u2
+    // per complex point, each point consuming exactly one Box-Muller
+    // pair (cos half = Im, sin half = Re, matching the scalar branch's
+    // draw order below) — so the RNG leaves the fill in the same state
+    // as the scalar path and every downstream draw matches. Values
+    // agree with the scalar transform to <= 1e-12.
+    const bool vectorFill = simd::enabled() && !rng.hasNormalSpare();
+    double *u1 = nullptr, *u2 = nullptr, *cosHalf = nullptr,
+           *sinHalf = nullptr;
+    if (vectorFill) {
+        u1 = arena.alloc<double>(m);
+        u2 = arena.alloc<double>(m);
+        cosHalf = arena.alloc<double>(m);
+        sinHalf = arena.alloc<double>(m);
     }
 
-    // Only the top-left n x n corner is cropped below, so the column
-    // pass can skip the other m - n columns entirely (bit-identical
-    // for the kept corner).
-    fft2dCorner(spec, m, m, false, n, n);
+    for (std::size_t r = 0; r < m; ++r) {
+        const double *amp = sp->amp.data() + r * m;
+        if (vectorFill) {
+            for (std::size_t c = 0; c < m; ++c) {
+                double a = 0.0;
+                while (a == 0.0)
+                    a = rng.uniform();
+                u1[c] = a;
+                u2[c] = rng.uniform();
+            }
+            simd::boxMullerSweep(u1, u2, cosHalf, sinHalf, m);
+            for (std::size_t c = 0; c < m; ++c) {
+                row[plan.bitReverse(c)] = std::complex<double>(
+                    amp[c] * sinHalf[c], amp[c] * cosHalf[c]);
+            }
+        } else {
+            for (std::size_t c = 0; c < m; ++c) {
+                // Drawn imaginary-half first: the committed golden
+                // fields bake in the evaluation order the original
+                //   complex(amp * normal(), amp * normal())
+                // constructor call produced (right-to-left on this
+                // toolchain), so the order is now explicit. The first
+                // normal of a Box-Muller pair is the cos half.
+                const double im = amp[c] * rng.normal();
+                const double re = amp[c] * rng.normal();
+                row[plan.bitReverse(c)] = std::complex<double>(re, im);
+            }
+        }
+        plan.transformPermuted(row, false, n);
+        for (std::size_t c = 0; c < n; ++c)
+            cols[c * m + r] = row[c];
+    }
 
     std::vector<double> values(n * n);
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-            values[r * n + c] = spec[r * m + c].real() * rescale;
-
-    if (second != nullptr) {
-        std::vector<double> valuesB(n * n);
+    std::vector<double> valuesB(second != nullptr ? n * n : 0);
+    for (std::size_t c = 0; c < n; ++c) {
+        std::complex<double> *col = cols + c * m;
+        plan.permute(col);
+        plan.transformPermuted(col, false, n);
         for (std::size_t r = 0; r < n; ++r)
-            for (std::size_t c = 0; c < n; ++c)
-                valuesB[r * n + c] = spec[r * m + c].imag() * rescale;
-        *second = FieldSample(n, std::move(valuesB));
+            values[r * n + c] = col[r].real() * rescale;
+        if (second != nullptr) {
+            for (std::size_t r = 0; r < n; ++r)
+                valuesB[r * n + c] = col[r].imag() * rescale;
+        }
     }
+    if (second != nullptr)
+        *second = FieldSample(n, std::move(valuesB));
 
     return FieldSample(n, std::move(values));
 }
@@ -464,6 +491,7 @@ generateFieldPair(std::size_t n, double phi, Rng &rng, FieldMethod method,
 {
     assert(n >= 2);
     assert(phi > 0.0);
+    TRACE_SCOPE("varius.field");
 
     const FieldSampleKey key{rng.captureState(), n, phi,
                              static_cast<int>(method) | kPairMethodBit};

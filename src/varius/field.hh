@@ -90,7 +90,7 @@ FieldSample generateField(std::size_t n, double phi, Rng &rng,
  * case (every die needs a Vth and a Leff field).
  *
  * For the circulant back-end the pair costs one synthesis: the real
- * and imaginary planes of the coloured-noise inverse transform are
+ * and imaginary planes of the transformed coloured noise are
  * two independent unit-variance fields with the target covariance
  * (Dietrich & Newsam), so @p fieldA takes Re and @p fieldB takes Im.
  * For the Cholesky back-end this is exactly two sequential
@@ -115,8 +115,8 @@ std::size_t fieldFactorCacheSize();
  * The circulant back-end likewise caches the die-independent part of
  * the synthesis — embedding size, square-root eigenvalue amplitudes,
  * and the unit-variance rescale — keyed by (n, phi), so the per-die
- * cost is one noise colouring plus one inverse FFT (the covariance
- * fill and the forward FFT run once per batch).
+ * cost is one noise colouring plus one output-pruned 2-D FFT (the
+ * covariance fill and its eigenvalue FFT run once per batch).
  */
 void clearFieldSpectrumCache();
 /** Number of (n, phi) circulant spectra currently cached. */

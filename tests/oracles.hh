@@ -13,6 +13,11 @@
  *    fold must be bit-equal in the default build.
  *  - solveCG: conjugate gradients, the iterative solve the thermal
  *    model's cached Cholesky factor replaced.
+ *  - fftRadix2 / fft2dCornerRadix2: the textbook radix-2 FFT over
+ *    std::complex values (strided twiddle reads, conjugated per
+ *    butterfly for the inverse) and the cropped 2-D transform field
+ *    synthesis used to run; FftPlan and the fused synthesis must be
+ *    bit-equal to them on the scalar path.
  */
 
 #ifndef VARSCHED_TESTS_ORACLES_HH
@@ -21,7 +26,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <complex>
 #include <cstddef>
+#include <numbers>
 #include <vector>
 
 #include "power/leakage.hh"
@@ -137,6 +144,73 @@ solveCG(const Matrix &a, const std::vector<double> &b, double tol = 1e-10,
         rr = rrNew;
     }
     return x;
+}
+
+/**
+ * In-place iterative radix-2 FFT (length a power of two): bit-reversal
+ * swaps, then one pass per stage reading w[k * n/len] from a length-n
+ * table of exp(-2πik/n), conjugated for the unscaled inverse.
+ */
+inline void
+fftRadix2(std::complex<double> *data, std::size_t n, bool inverse)
+{
+    if (n <= 1)
+        return;
+    for (std::size_t i = 1, j = 0; i < n; ++i) {
+        std::size_t bit = n >> 1;
+        for (; j & bit; bit >>= 1)
+            j ^= bit;
+        j ^= bit;
+        if (i < j)
+            std::swap(data[i], data[j]);
+    }
+
+    std::vector<std::complex<double>> tw(n / 2);
+    for (std::size_t k = 0; k < n / 2; ++k) {
+        const double ang = -2.0 * std::numbers::pi *
+            static_cast<double>(k) / static_cast<double>(n);
+        tw[k] = std::complex<double>(std::cos(ang), std::sin(ang));
+    }
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+        const std::size_t half = len / 2;
+        const std::size_t stride = n / len;
+        for (std::size_t i = 0; i < n; i += len) {
+            std::complex<double> *lo = data + i;
+            std::complex<double> *hi = data + i + half;
+            for (std::size_t k = 0; k < half; ++k) {
+                const std::complex<double> &t = tw[k * stride];
+                const std::complex<double> w = inverse ? std::conj(t) : t;
+                const std::complex<double> u = lo[k];
+                const std::complex<double> v = hi[k] * w;
+                lo[k] = u + v;
+                hi[k] = u - v;
+            }
+        }
+    }
+}
+
+/**
+ * 2-D FFT of a row-major rows x cols grid of which only the top-left
+ * keepRows x keepCols corner is returned (row-major, keepCols wide):
+ * every row transformed, then only the kept columns.
+ */
+inline std::vector<std::complex<double>>
+fft2dCornerRadix2(std::vector<std::complex<double>> data, std::size_t rows,
+                  std::size_t cols, bool inverse, std::size_t keepRows,
+                  std::size_t keepCols)
+{
+    for (std::size_t r = 0; r < rows; ++r)
+        fftRadix2(data.data() + r * cols, cols, inverse);
+    std::vector<std::complex<double>> column(rows);
+    std::vector<std::complex<double>> corner(keepRows * keepCols);
+    for (std::size_t c = 0; c < keepCols; ++c) {
+        for (std::size_t r = 0; r < rows; ++r)
+            column[r] = data[r * cols + c];
+        fftRadix2(column.data(), rows, inverse);
+        for (std::size_t r = 0; r < keepRows; ++r)
+            corner[r * keepCols + c] = column[r];
+    }
+    return corner;
 }
 
 } // namespace varsched::oracle

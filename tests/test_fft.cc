@@ -1,16 +1,22 @@
 /**
  * @file
  * Unit tests for the radix-2 FFT: known transforms, round trips,
- * Parseval's identity, and the 2D wrapper.
+ * Parseval's identity, the 2D wrapper, and bit-equality of the planned,
+ * output-pruned transform with the textbook radix-2 reference
+ * (tests/oracles.hh) on the scalar path.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 
+#include "runtime/simd.hh"
 #include "solver/fft.hh"
 #include "solver/rng.hh"
+
+#include "oracles.hh"
 
 namespace varsched
 {
@@ -64,8 +70,9 @@ TEST(Fft, KnownSineBin)
     fft(v, false);
     EXPECT_NEAR(std::abs(v[3]), static_cast<double>(n), 1e-9);
     for (std::size_t i = 0; i < n; ++i) {
-        if (i != 3)
+        if (i != 3) {
             EXPECT_NEAR(std::abs(v[i]), 0.0, 1e-9);
+        }
     }
 }
 
@@ -129,6 +136,97 @@ TEST(Fft2d, SeparableDelta)
     fft2d(v, rows, cols, false);
     for (const auto &x : v)
         EXPECT_NEAR(x.real(), 1.0, 1e-12);
+}
+
+/** RAII forced-scalar toggle (always left off afterwards). */
+class ScalarGuard
+{
+  public:
+    explicit ScalarGuard(bool force) { simd::setForceScalar(force); }
+    ~ScalarGuard() { simd::setForceScalar(false); }
+};
+
+std::vector<Cx>
+noise(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Cx> v(n);
+    for (auto &z : v)
+        z = Cx(rng.normal(), rng.normal());
+    return v;
+}
+
+/** True when the first @p count values of @p a and @p b are bit-equal. */
+bool
+bitEqual(const Cx *a, const Cx *b, std::size_t count)
+{
+    return std::memcmp(a, b, count * sizeof(Cx)) == 0;
+}
+
+TEST(FftOracle, EveryPowerOfTwoMatchesRadix2ReferenceBitwise)
+{
+    const ScalarGuard guard(true);
+    for (std::size_t n = 1; n <= 1024; n *= 2) {
+        for (const bool inverse : {false, true}) {
+            std::vector<Cx> got = noise(n, 0xF0 + n);
+            std::vector<Cx> want = got;
+            fft(got, inverse);
+            oracle::fftRadix2(want.data(), n, inverse);
+            EXPECT_TRUE(bitEqual(got.data(), want.data(), n))
+                << "n=" << n << " inverse=" << inverse;
+        }
+    }
+}
+
+TEST(FftOracle, PrunedOutputsMatchRadix2ReferenceBitwise)
+{
+    const ScalarGuard guard(true);
+    for (const std::size_t n : {4u, 8u, 64u, 512u, 1024u}) {
+        for (const std::size_t keep : {std::size_t{1}, n / 4, n / 2, n}) {
+            for (const bool inverse : {false, true}) {
+                std::vector<Cx> got = noise(n, 0x9A + n + keep);
+                std::vector<Cx> want = got;
+                fft(got.data(), n, inverse, keep);
+                oracle::fftRadix2(want.data(), n, inverse);
+                EXPECT_TRUE(bitEqual(got.data(), want.data(), keep))
+                    << "n=" << n << " keep=" << keep
+                    << " inverse=" << inverse;
+            }
+        }
+    }
+}
+
+TEST(FftOracle, CroppedTwoDimensionalTransformMatchesReferenceBitwise)
+{
+    // Row transforms keeping keepCols outputs, then column transforms
+    // of the kept columns keeping keepRows — the shape of circulant
+    // field synthesis — on a non-square grid with odd crop sizes.
+    const ScalarGuard guard(true);
+    const std::size_t rows = 64, cols = 256, keepRows = 23, keepCols = 37;
+    const std::vector<Cx> grid = noise(rows * cols, 0x2D2D);
+    const std::vector<Cx> want = oracle::fft2dCornerRadix2(
+        grid, rows, cols, false, keepRows, keepCols);
+
+    std::vector<Cx> work = grid;
+    for (std::size_t r = 0; r < rows; ++r)
+        fft(work.data() + r * cols, cols, false, keepCols);
+    std::vector<Cx> column(rows);
+    std::vector<Cx> got(keepRows * keepCols);
+    for (std::size_t c = 0; c < keepCols; ++c) {
+        for (std::size_t r = 0; r < rows; ++r)
+            column[r] = work[r * cols + c];
+        fft(column.data(), rows, false, keepRows);
+        for (std::size_t r = 0; r < keepRows; ++r)
+            got[r * keepCols + c] = column[r];
+    }
+    EXPECT_TRUE(bitEqual(got.data(), want.data(), got.size()));
+
+    // The full 2-D transform against the uncropped reference.
+    std::vector<Cx> full = grid;
+    fft2d(full, rows, cols, true);
+    const std::vector<Cx> fullWant =
+        oracle::fft2dCornerRadix2(grid, rows, cols, true, rows, cols);
+    EXPECT_TRUE(bitEqual(full.data(), fullWant.data(), full.size()));
 }
 
 } // namespace

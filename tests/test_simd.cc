@@ -304,26 +304,24 @@ TEST(SimdButterfly, FftDispatchAgreesWithForcedScalar)
     }
 }
 
-TEST(SimdButterfly, CornerFftMatchesFullTransformBitwise)
+TEST(SimdButterfly, PrunedFftMatchesFullTransformBitwise)
 {
-    // fft2dCorner must be *bit-identical* to fft2d on the kept corner
-    // (same dispatch mode: column transforms are simply skipped, not
-    // reordered).
-    const std::size_t m = 64, keep = 23;
-    Rng rng(0x2D);
-    std::vector<std::complex<double>> full(m * m);
-    for (auto &z : full)
-        z = {rng.normal(), rng.normal()};
-    std::vector<std::complex<double>> corner = full;
+    // A transform told to keep only its leading outputs must be
+    // *bit-identical* to the full transform on those outputs, in the
+    // same dispatch mode: the pruned stages skip butterfly halves,
+    // they do not reorder any arithmetic.
+    const std::size_t m = 64;
+    for (const std::size_t keep : {1u, 16u, 23u, 32u, 64u}) {
+        Rng rng(0x2D + keep);
+        std::vector<std::complex<double>> full(m);
+        for (auto &z : full)
+            z = {rng.normal(), rng.normal()};
+        std::vector<std::complex<double>> pruned = full;
 
-    fft2d(full, m, m, false);
-    fft2dCorner(corner.data(), m, m, false, keep, keep);
-
-    for (std::size_t r = 0; r < keep; ++r) {
-        for (std::size_t c = 0; c < keep; ++c) {
-            EXPECT_EQ(full[r * m + c], corner[r * m + c])
-                << "r=" << r << " c=" << c;
-        }
+        fft(full, false);
+        fft(pruned.data(), m, false, keep);
+        for (std::size_t i = 0; i < keep; ++i)
+            EXPECT_EQ(full[i], pruned[i]) << "keep=" << keep << " i=" << i;
     }
 }
 

@@ -333,9 +333,10 @@ TEST(MetricsHistogram, BucketBoundsAreMonotonicAndCoverValues)
         const int i = metrics::Histogram::bucketIndex(v);
         EXPECT_LE(v, metrics::Histogram::bucketUpperBound(i) *
                           (1.0 + 1e-12));
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(v, metrics::Histogram::bucketUpperBound(i - 1) *
                              (1.0 - 1e-12));
+        }
     }
 }
 

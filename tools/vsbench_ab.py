@@ -6,10 +6,13 @@
 The parent ref is exported with `git archive` into .vsbench_ab/ (the
 repository's .git is only read). Both trees are built and run through
 their own vsbench/run.py, each under its own CARGO_TARGET_DIR. For every
-workload in BENCHMARK.json the driver runs five seed pairs at the
+workload in BENCHMARK.json the driver runs ten seed pairs at the
 configured run length, alternating which side goes first, and reports
 for each end-to-end metric the median change/parent ratio with a
-bootstrap 95% interval. A metric whose median is worse than its
+bootstrap 95% interval, how many pairs the change won, and the median
+gain next to the parent's quartile spread. A gain can be claimed when
+the change wins at least nine pairs in ten and its median gain exceeds
+that spread (the "claim" column). A metric whose median is worse than its
 BENCHMARK.json bound fails the comparison, unless the parent's own
 quartile spread is wider than the bound, in which case it is reported
 as unresolved (unless every change run beats every parent run). A
@@ -29,7 +32,8 @@ import tarfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRATCH = os.path.join(ROOT, ".vsbench_ab")
-PAIRS = 5
+PAIRS = 10
+CLAIM_WIN_SHARE = 0.9
 SEEDS = [101 + i for i in range(PAIRS)]
 TRACE_SEED = 2026
 TRACE_OVERHEAD_MAX = 0.01
@@ -155,8 +159,8 @@ def main():
     print(f"vsbench A/B: working tree vs {ref} ({sha[:12]}), {PAIRS} seed "
           f"pairs per workload, {seconds} s runs")
     print(f"{'workload':<14} {'metric':<13} {'parent':>10} {'change':>10} "
-          f"{'ratio':>7} {'95% CI':>16} {'spread':>7} {'bound':>6}  "
-          f"verdict")
+          f"{'ratio':>7} {'95% CI':>16} {'wins':>5} {'gain':>7} "
+          f"{'spread':>7} {'bound':>6} {'claim':>5}  verdict")
     for workload in workloads:
         runs = results[workload]
         failed = {name: sum(r["failed"] for r in rs) /
@@ -176,9 +180,15 @@ def main():
             if metric["better"] == "lower":
                 is_worse = ratio > 1.0 + bound
                 all_better = max(change) < min(parent)
+                wins = sum(c < p for c, p in zip(change, parent))
+                gain = 1.0 - ratio
             else:
                 is_worse = ratio < 1.0 - bound
                 all_better = min(change) > max(parent)
+                wins = sum(c > p for c, p in zip(change, parent))
+                gain = ratio - 1.0
+            claim = "yes" if (wins >= CLAIM_WIN_SHARE * len(ratios) and
+                              gain > spread) else "no"
             if spread > bound and not all_better:
                 verdict = "unresolved"
             elif is_worse:
@@ -189,7 +199,8 @@ def main():
             print(f"{workload:<14} {key:<13} "
                   f"{statistics.median(parent):>10.4g} "
                   f"{statistics.median(change):>10.4g} {ratio:>7.3f} "
-                  f"[{lo:.3f}, {hi:.3f}] {spread:>7.3f} {bound:>6.2f}  "
+                  f"[{lo:.3f}, {hi:.3f}] {wins:>2}/{len(ratios):<2} "
+                  f"{gain:>7.3f} {spread:>7.3f} {bound:>6.2f} {claim:>5}  "
                   f"{verdict}")
         print(f"{workload:<14} {'failed share':<13} "
               f"{failed['parent']:>10.4g} {failed['change']:>10.4g}")
