@@ -88,12 +88,12 @@ Die::Die(const DieParams &params, std::uint64_t dieSeed,
         }
     }
 
-    // Sample the systematic Vth field at every core's leakage
+    // Sample and fold the systematic Vth field at every core's leakage
     // integration points once; the tick loop queries leakage millions
-    // of times per run and folds these instead of re-interpolating.
-    vthSamples_.reserve(numCores());
+    // of times per run and evaluates these folds instead.
+    leakFolds_.reserve(numCores());
     for (std::size_t c = 0; c < numCores(); ++c)
-        vthSamples_.push_back(leakModel_.sampleCoreVth(map_, plan_, c));
+        leakFolds_.emplace_back(leakModel_.sampleCoreVth(map_, plan_, c));
 
     // Bin the (voltage, frequency) table at the binning temperature
     // and quantise down to the frequency step (a core is never clocked
@@ -109,8 +109,8 @@ Die::Die(const DieParams &params, std::uint64_t dieSeed,
                 timing_[c].fmax(v, params_.critPath.binTempC);
             freqTable_[c][l] =
                 std::floor(raw / params_.freqStepHz) * params_.freqStepHz;
-            staticTable_[c][l] = leakModel_.corePowerSampled(
-                vthSamples_[c], map_.vthSigmaRandom(), v,
+            staticTable_[c][l] = leakModel_.corePowerFolded(
+                leakFolds_[c], map_.vthSigmaRandom(), v,
                 params_.leakage.refTempC, vthBias_[c]);
         }
     }
@@ -128,9 +128,9 @@ Die::uniformFreq() const
 double
 Die::leakagePower(std::size_t core, double v, double tempC) const
 {
-    return leakModel_.corePowerSampled(vthSamples_[core],
-                                       map_.vthSigmaRandom(), v, tempC,
-                                       vthBias_[core]);
+    return leakModel_.corePowerFolded(leakFolds_[core],
+                                      map_.vthSigmaRandom(), v, tempC,
+                                      vthBias_[core]);
 }
 
 double

@@ -153,13 +153,14 @@ class Die
     std::vector<CoreTiming> timing_;
     std::vector<double> vthBias_; ///< Per-core ABB shift, volts.
     /**
-     * Per-core systematic-Vth samples at the leakage model's fixed
-     * integration points, taken once at manufacture (the map never
-     * changes afterwards) so live leakage queries skip the field
-     * interpolation. Value semantics: survives copies/moves of the
-     * die, unlike a pointer-keyed cache would.
+     * Per-core fold of the systematic-Vth samples at the leakage
+     * model's fixed integration points, built once at manufacture
+     * (the map never changes afterwards) so live leakage queries skip
+     * the field interpolation and cost one exp(). Value semantics:
+     * survives copies/moves of the die, unlike a pointer-keyed cache
+     * would.
      */
-    std::vector<std::vector<double>> vthSamples_;
+    std::vector<LeakageFold> leakFolds_;
     std::vector<std::vector<double>> freqTable_;   ///< [core][level]
     std::vector<std::vector<double>> staticTable_; ///< [core][level]
 };

@@ -54,7 +54,7 @@ ChipEvaluator::evaluate(const std::vector<CoreWork> &work,
     return cond;
 }
 
-void
+int
 ChipEvaluator::evaluateInto(ChipCondition &out,
                             const std::vector<CoreWork> &work,
                             const std::vector<int> &levels,
@@ -122,7 +122,9 @@ ChipEvaluator::evaluateInto(ChipCondition &out,
     double spreaderC = die_->params().thermal.ambientC;
     double sinkC = die_->params().thermal.ambientC;
 
-    for (int iter = 0; iter < 25; ++iter) {
+    int iters = 0;
+    while (iters < 25) {
+        ++iters;
         for (std::size_t c = 0; c < n; ++c) {
             if (work[c].app == nullptr) {
                 corePowers[c] = 0.0; // power-gated when idle
@@ -138,8 +140,8 @@ ChipEvaluator::evaluateInto(ChipCondition &out,
                 die_->l2LeakagePower(b, 1.0, l2Temps[b]);
         }
 
-        const ThermalResult thermal =
-            die_->thermalModel().solve(corePowers, l2Powers);
+        ThermalResult &thermal = thermalScratch_;
+        die_->thermalModel().solveInto(thermal, corePowers, l2Powers);
         spreaderC = thermal.spreaderC;
         sinkC = thermal.sinkC;
 
@@ -188,6 +190,7 @@ ChipEvaluator::evaluateInto(ChipCondition &out,
         out.totalPowerW += corePowers[c];
         out.totalMips += out.coreMips[c];
     }
+    return iters;
 }
 
 ChipCondition

@@ -85,10 +85,10 @@ class ChipEvaluator
      *        temperatures seed the leakage-temperature fixed point
      *        instead of the cold refTempC start. The iteration
      *        converges to the same fixed point within its 0.05 C
-     *        tolerance in a fraction of the iterations (typically
-     *        2-3 instead of ~25 when the operating point barely
-     *        moved). Pass nullptr for the cold, bit-reproducible
-     *        pre-warm-start behaviour.
+     *        tolerance in fewer iterations (about 5-6 instead of
+     *        ~16 on the figure benches; the physics.settle_iters
+     *        counter measures it). Pass nullptr for the cold,
+     *        bit-reproducible pre-warm-start behaviour.
      */
     ChipCondition evaluate(const std::vector<CoreWork> &work,
                            const std::vector<int> &levels,
@@ -102,8 +102,10 @@ class ChipEvaluator
      * @p out (the seed temperatures are copied out first), which is
      * how the tick loop warm-starts each solve from the previous
      * one in place.
+     *
+     * @return Fixed-point iterations run (thermal solves made).
      */
-    void evaluateInto(ChipCondition &out,
+    int evaluateInto(ChipCondition &out,
                       const std::vector<CoreWork> &work,
                       const std::vector<int> &levels,
                       double freqCapHz = 0.0,
@@ -153,6 +155,7 @@ class ChipEvaluator
     mutable std::vector<double> l2PowerScratch_;
     mutable std::vector<double> coreTempScratch_;
     mutable std::vector<double> l2TempScratch_;
+    mutable ThermalResult thermalScratch_;
     mutable std::vector<std::pair<const AppProfile *, double>> actKeys_;
     mutable std::vector<ActivityVector> actVals_;
 };

@@ -11,6 +11,7 @@
 
 #include "solver/rng.hh"
 
+#include "runtime/metrics.hh"
 #include "runtime/trace.hh"
 
 #include "core/exhaustive.hh"
@@ -49,6 +50,20 @@ requireMultipleOfTick(double intervalMs, double tickMs,
             std::to_string(intervalMs) +
             " ms) must be a whole multiple of tickMs (" +
             std::to_string(tickMs) + " ms)");
+    }
+}
+
+/** Span name for one power manager's selectLevels() call. */
+const char *
+pmSpanName(PmKind kind)
+{
+    switch (kind) {
+      case PmKind::FoxtonStar: return "pm.foxton";
+      case PmKind::LinOpt:
+      case PmKind::LinOptMaxMin: return "pm.linopt";
+      case PmKind::SAnn: return "pm.sann";
+      case PmKind::Exhaustive: return "pm.exhaustive";
+      default: return "pm.select";
     }
 }
 
@@ -500,6 +515,10 @@ SystemSimulator::runImpl(RunMode mode)
         return true;
     };
 
+    // Fixed-point iterations over the run's settles, published once
+    // at the end as physics.settle_iters.
+    std::uint64_t settleIters = 0;
+
     const auto settleSteady = [&]() {
         if (cacheValid && coreLevels == cachedLevels &&
             sameWork(work, cachedWork)) {
@@ -507,7 +526,7 @@ SystemSimulator::runImpl(RunMode mode)
             return;
         }
         TRACE_SCOPE("physics.settle");
-        evaluator_.evaluateInto(
+        settleIters += evaluator_.evaluateInto(
             steady, work, coreLevels, uniFreq,
             config_.warmStartThermal && cacheValid ? &steady : nullptr);
         cachedWork = work;
@@ -639,7 +658,8 @@ SystemSimulator::runImpl(RunMode mode)
             // its sensors.
             if (config_.transientThermal) {
                 TRACE_SCOPE("physics.settle");
-                cond = evaluator_.evaluate(work, coreLevels, uniFreq);
+                settleIters += evaluator_.evaluateInto(cond, work,
+                                                       coreLevels, uniFreq);
             } else {
                 settleSteady();
             }
@@ -694,11 +714,18 @@ SystemSimulator::runImpl(RunMode mode)
                 noisePtr = legacyMode ? &noiseRng : &epochNoise;
             if (!legacyMode)
                 manager_->beginEpoch(epochIndex);
-            const ChipSnapshot snap = buildSnapshot(
-                evaluator_, work, cond, config_.ptargetW, pcoreMax,
-                noisePtr, &injector);
-            const std::vector<int> active =
-                manager_->selectLevels(snap);
+            ChipSnapshot snap;
+            {
+                TRACE_SCOPE("chip.snapshot");
+                snap = buildSnapshot(evaluator_, work, cond,
+                                     config_.ptargetW, pcoreMax, noisePtr,
+                                     &injector);
+            }
+            std::vector<int> active;
+            {
+                TRACE_SCOPE(pmSpanName(config_.pm));
+                active = manager_->selectLevels(snap);
+            }
             std::size_t decisionSteps = 0;
             for (std::size_t i = 0; i < snap.cores.size(); ++i) {
                 const std::size_t core = snap.cores[i].coreId;
@@ -980,6 +1007,10 @@ SystemSimulator::runImpl(RunMode mode)
     result.capViolationFraction = config_.pm != PmKind::None
         ? capViolationFraction(result.powerTrace, config_.ptargetW)
         : 0.0;
+    static metrics::Counter &settleItersCounter =
+        metrics::Registry::global().counter("physics.settle_iters");
+    settleItersCounter.add(settleIters);
+
     result.exactTicks = exactTickCount;
     result.sampledTicks = sampledTickCount;
     const PhaseSamplerStats &sstats = sampler.stats();

@@ -2,6 +2,7 @@
 
 #include "runtime/simd.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -18,7 +19,74 @@ thermalVoltage(double tempC)
     return 8.617333e-5 * (tempC + 273.15);
 }
 
+/** The fold's truncation bound x^(K+1) / (K+1)! * e^(2x). */
+constexpr double
+truncationBound(std::size_t order, double x)
+{
+    double term = 1.0;
+    for (std::size_t k = 1; k <= order + 1; ++k)
+        term *= x / static_cast<double>(k);
+    double e2x = 0.0, t = 1.0;
+    for (int k = 1; k < 60; ++k) {
+        e2x += t;
+        t *= 2.0 * x / k;
+    }
+    return term * e2x;
+}
+
+static_assert(truncationBound(LeakageFold::kOrder,
+                              LeakageFold::kMaxBetaRadius) < 1e-16,
+              "fold order too low for its beta * radius threshold");
+
 } // namespace
+
+LeakageFold::LeakageFold(const std::vector<double> &vthSamples)
+{
+    assert(!vthSamples.empty());
+    double sum = 0.0;
+    for (const double vth : vthSamples)
+        sum += vth;
+    meanVth_ = sum / static_cast<double>(vthSamples.size());
+
+    deviations_.reserve(vthSamples.size());
+    for (const double vth : vthSamples) {
+        const double d = vth - meanVth_;
+        deviations_.push_back(d);
+        radius_ = std::max(radius_, std::abs(d));
+        // (-d)^k / k! by recurrence, accumulated into c_k.
+        double term = 1.0;
+        coeffs_[0] += term;
+        for (std::size_t k = 1; k <= kOrder; ++k) {
+            term *= -d / static_cast<double>(k);
+            coeffs_[k] += term;
+        }
+    }
+}
+
+double
+LeakageFold::sumExp(double beta) const
+{
+    if (beta * radius_ <= kMaxBetaRadius) {
+        double p = coeffs_[kOrder];
+        for (std::size_t k = kOrder; k-- > 0;)
+            p = p * beta + coeffs_[k];
+        return p;
+    }
+
+    // Outside the series' range: the per-sample sum.
+    const std::size_t n = deviations_.size();
+    static thread_local std::vector<double> args;
+    static thread_local std::vector<double> expValues;
+    args.resize(n);
+    expValues.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        args[i] = -beta * deviations_[i];
+    simd::expSweep(args.data(), expValues.data(), n);
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        sum += expValues[i];
+    return sum;
+}
 
 LeakageModel::LeakageModel(const LeakageParams &params) : params_(params)
 {
@@ -88,44 +156,30 @@ LeakageModel::corePowerSampled(const std::vector<double> &vthSamples,
                                double sigmaRandom, double v, double tempC,
                                double vthShift) const
 {
-    // Analytic fold of the per-transistor random component:
-    // E[exp(dV/(n vT))] = exp(sigma^2 / (2 (n vT)^2)).
-    const double nvt = params_.slopeFactor * thermalVoltage(tempC);
-    const double randomBoost =
-        std::exp(sigmaRandom * sigmaRandom / (2.0 * nvt * nvt));
+    return corePowerFolded(LeakageFold(vthSamples), sigmaRandom, v,
+                           tempC, vthShift);
+}
 
-    // Batched fold: every (V, T)-invariant of the per-sample kernel is
-    // hoisted, the exp arguments are computed as one contiguous
-    // (autovectorizable) sweep, and only the exp() fold itself runs
-    // through libm. Each subexpression keeps the exact shape of
-    // expArg()/subthresholdCoreEquivalent(), and the summation order
-    // is unchanged, so the result is bit-identical to the per-sample
-    // scalar fold.
-    const std::size_t n = vthSamples.size();
+double
+LeakageModel::corePowerFolded(const LeakageFold &fold, double sigmaRandom,
+                              double v, double tempC,
+                              double vthShift) const
+{
+    // exp((-vth_i + eta V) / (n vT)) = exp(a0) exp(-beta d_i): the
+    // mean's exponent carries the temperature shift, the body bias
+    // and the analytic random-Vth boost
+    // E[exp(dV/(n vT))] = exp(sigma^2 / (2 (n vT)^2)).
+    const double beta =
+        1.0 / (params_.slopeFactor * thermalVoltage(tempC));
     const double dVth =
         params_.vthTempCoeff * (tempC - params_.refTempC);
-    const double dibl = params_.dibl * v;
+    const double vth = (fold.meanVth() + vthShift) - dVth;
+    const double a0 = beta * (params_.dibl * v - vth) +
+        sigmaRandom * sigmaRandom * beta * beta / 2.0;
     const double tK = tempC + 273.15;
     const double pref = norm_ * v * tK * tK;
-
-    static thread_local std::vector<double> args;
-    static thread_local std::vector<double> expValues;
-    args.resize(n);
-    expValues.resize(n);
-    const double *vthData = vthSamples.data();
-    for (std::size_t i = 0; i < n; ++i) {
-        const double vth = (vthData[i] + vthShift) - dVth;
-        args[i] = (-vth + dibl) / nvt;
-    }
-    // simd::expSweep's scalar fallback is the same std::exp loop this
-    // fold always ran, and the single-accumulator summation order is
-    // unchanged either way.
-    simd::expSweep(args.data(), expValues.data(), n);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += pref * expValues[i];
-    const double subthreshold =
-        randomBoost * sum / static_cast<double>(n);
+    const double subthreshold = pref * std::exp(a0) *
+        fold.sumExp(beta) / static_cast<double>(fold.size());
 
     // Gate (tunnelling) leakage falls very steeply with voltage;
     // model it as V^4 (between the V^4-V^5 dependence of thin-oxide

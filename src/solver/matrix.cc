@@ -81,29 +81,35 @@ lowerMultiply(const Matrix &l, const std::vector<double> &x)
 std::vector<double>
 choleskySolve(const Matrix &l, const std::vector<double> &b)
 {
-    assert(l.rows() == l.cols() && l.rows() == b.size());
-    const std::size_t n = b.size();
+    std::vector<double> x = b;
+    choleskySolveInPlace(l, x);
+    return x;
+}
 
-    // Forward substitution: L·y = b. Row i of L is contiguous, so the
-    // partial-row reduction is a blocked dot.
-    std::vector<double> y(n);
+void
+choleskySolveInPlace(const Matrix &l, std::vector<double> &bx)
+{
+    assert(l.rows() == l.cols() && l.rows() == bx.size());
+    const std::size_t n = bx.size();
+
+    // Forward substitution: L·y = b, y overwriting b. Row i of L is
+    // contiguous, so the partial-row reduction is a blocked dot over
+    // the already-solved y[0..i).
     for (std::size_t i = 0; i < n; ++i) {
         const double *li = l.row(i);
-        y[i] = (b[i] - dotBlocked(li, y.data(), i)) / li[i];
+        bx[i] = (bx[i] - dotBlocked(li, bx.data(), i)) / li[i];
     }
 
-    // Backward substitution: Lᵀ·x = y, recast in axpy form so every
-    // inner loop still walks a contiguous *row* of L instead of a
-    // column stride: once x[i] is known, its contribution is
-    // subtracted from all earlier equations at once.
-    std::vector<double> x(n);
+    // Backward substitution: Lᵀ·x = y, x overwriting y, recast in
+    // axpy form so every inner loop still walks a contiguous *row* of
+    // L instead of a column stride: once x[i] is known, its
+    // contribution is subtracted from all earlier equations at once.
     for (std::size_t i = n; i-- > 0;) {
         const double *li = l.row(i);
-        const double xi = y[i] / li[i];
-        x[i] = xi;
-        simd::axpyNeg(y.data(), xi, li, i);
+        const double xi = bx[i] / li[i];
+        bx[i] = xi;
+        simd::axpyNeg(bx.data(), xi, li, i);
     }
-    return x;
 }
 
 std::pair<double, double>

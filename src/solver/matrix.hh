@@ -77,6 +77,14 @@ std::vector<double> choleskySolve(const Matrix &l,
                                   const std::vector<double> &b);
 
 /**
+ * choleskySolve() in place: @p bx holds b on entry and x on return.
+ * Both substitutions only read entries they have already finished,
+ * so the in-place solve runs the same operations on the same values
+ * (choleskySolve() is a copy followed by this call).
+ */
+void choleskySolveInPlace(const Matrix &l, std::vector<double> &bx);
+
+/**
  * Least-squares fit of y ≈ b·x + c.
  *
  * @return {b, c}. With fewer than two points, returns {0, y0-or-0}.

@@ -121,6 +121,16 @@ ThermalResult
 ThermalModel::solve(const std::vector<double> &corePowerW,
                     const std::vector<double> &l2PowerW) const
 {
+    ThermalResult result;
+    solveInto(result, corePowerW, l2PowerW);
+    return result;
+}
+
+void
+ThermalModel::solveInto(ThermalResult &out,
+                        const std::vector<double> &corePowerW,
+                        const std::vector<double> &l2PowerW) const
+{
     assert(corePowerW.size() == numCores_);
     assert(l2PowerW.size() == numL2_);
 
@@ -129,24 +139,23 @@ ThermalModel::solve(const std::vector<double> &corePowerW,
 
     // Right-hand side: block powers, plus the ambient injection at
     // the sink node (temperatures solved relative to absolute C).
-    std::vector<double> rhs(n, 0.0);
+    // The solve overwrites it with the temperatures.
+    static thread_local std::vector<double> temps;
+    temps.assign(n, 0.0);
     for (std::size_t c = 0; c < numCores_; ++c)
-        rhs[c] = corePowerW[c];
+        temps[c] = corePowerW[c];
     for (std::size_t l = 0; l < numL2_; ++l)
-        rhs[numCores_ + l] = l2PowerW[l];
-    rhs[n - 1] = params_.ambientC / params_.sinkToAmbientR;
+        temps[numCores_ + l] = l2PowerW[l];
+    temps[n - 1] = params_.ambientC / params_.sinkToAmbientR;
 
-    const std::vector<double> temps = choleskySolve(factor_, rhs);
+    choleskySolveInPlace(factor_, temps);
 
-    ThermalResult result;
-    result.coreTempC.assign(temps.begin(),
-                            temps.begin() + static_cast<long>(numCores_));
-    result.l2TempC.assign(
-        temps.begin() + static_cast<long>(numCores_),
-        temps.begin() + static_cast<long>(numBlocks));
-    result.spreaderC = temps[numBlocks];
-    result.sinkC = temps[numBlocks + 1];
-    return result;
+    out.coreTempC.assign(temps.begin(),
+                         temps.begin() + static_cast<long>(numCores_));
+    out.l2TempC.assign(temps.begin() + static_cast<long>(numCores_),
+                       temps.begin() + static_cast<long>(numBlocks));
+    out.spreaderC = temps[numBlocks];
+    out.sinkC = temps[numBlocks + 1];
 }
 
 void

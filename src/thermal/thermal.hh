@@ -80,6 +80,15 @@ class ThermalModel
                         const std::vector<double> &l2PowerW) const;
 
     /**
+     * solve() into @p out, reusing its vectors' capacity: the
+     * leakage-temperature fixed point solves once per iteration and
+     * allocates nothing after the first.
+     */
+    void solveInto(ThermalResult &out,
+                   const std::vector<double> &corePowerW,
+                   const std::vector<double> &l2PowerW) const;
+
+    /**
      * Advance a transient solution by @p dtMs: integrate
      * C dT/dt = P - G T with implicit-stability-friendly sub-steps
      * (forward Euler bounded by the smallest block time constant).

@@ -360,7 +360,9 @@ generateCirculant(std::size_t n, double phi, Rng &rng,
  * an identical die (thread sweeps re-running the same batch) free.
  * FIFO-bounded: a paper-scale batch of distinct dies misses on every
  * entry, and the cap keeps its memory flat instead of accumulating
- * hundreds of n² grids.
+ * hundreds of n² grids. 16 entries cover the largest default figure
+ * batch (10 dies) re-run point after point; each 128-point pair entry
+ * holds 256 KB, so a larger cap only pins memory no batch reads.
  */
 struct FieldSampleKey
 {
@@ -392,7 +394,7 @@ struct FieldSampleEntry
 /** Key-space tag separating pair entries from single-field entries. */
 constexpr int kPairMethodBit = 0x100;
 
-constexpr std::size_t kFieldSampleCacheCap = 64;
+constexpr std::size_t kFieldSampleCacheCap = 16;
 std::mutex sampleCacheMutex;
 std::map<FieldSampleKey, FieldSampleEntry> sampleCache;
 std::deque<FieldSampleKey> sampleCacheOrder;

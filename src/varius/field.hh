@@ -129,9 +129,10 @@ std::size_t fieldSpectrumCacheSize();
  * bench re-manufactures the same dies — e.g. one runBatch per point
  * of a thread sweep over an identical batch — the generation replays
  * from the cache bit-identically, including the post-generation RNG
- * state, instead of redoing the FFT synthesis. Bounded FIFO (a few
- * dozen fields) so paper-scale batches of distinct dies stream
- * through without accumulating memory. Thread-safe.
+ * state, instead of redoing the FFT synthesis. Bounded FIFO (16
+ * fields, enough to replay a 10-die batch) so paper-scale batches of
+ * distinct dies stream through without accumulating memory.
+ * Thread-safe.
  */
 void clearFieldSampleCache();
 /** Number of field samples currently cached. */

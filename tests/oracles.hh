@@ -9,8 +9,9 @@
  *    CoreTiming::maxDelay(); the batch kernel must agree within
  *    1e-12 relative.
  *  - corePowerSampledRef: per-sample subthresholdCoreEquivalent()
- *    calls, the pre-batching LeakageModel::corePowerSampled(); the
- *    fold must be bit-equal in the default build.
+ *    calls, the pre-fold LeakageModel::corePowerSampled(); the Taylor
+ *    fold reassociates this sum and must agree within 1e-13
+ *    relative.
  *  - solveCG: conjugate gradients, the iterative solve the thermal
  *    model's cached Cholesky factor replaced.
  *  - fftRadix2 / fft2dCornerRadix2: the textbook radix-2 FFT over

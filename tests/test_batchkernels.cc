@@ -7,7 +7,8 @@
  * Contract under test (see MODELS.md section 14): every batched path
  * agrees with its element-by-element scalar reference within 1e-12
  * relative — bit-identical in the default build, since the batch
- * kernels only hoist loop-invariant subexpressions.
+ * kernels only hoist loop-invariant subexpressions. The leakage fold
+ * is the exception: it reassociates by design and is held to 1e-13.
  */
 
 #include <gtest/gtest.h>
@@ -135,6 +136,105 @@ TEST(LeakageBatch, CorePowerSampledMatchesScalarRef)
             }
         }
     }
+}
+
+/** beta = 1/(n vT) at @p tempC, as the leakage kernel computes it. */
+double
+leakageBeta(const LeakageParams &params, double tempC)
+{
+    return 1.0 / (params.slopeFactor * 8.617333e-5 * (tempC + 273.15));
+}
+
+// The Taylor fold against the per-sample oracle on manufactured dies
+// across the variation space: sigma/mu, correlation range, ABB, every
+// voltage level and 25-150 C. Almost every query takes the series;
+// the extreme corner (sigma/mu 0.20, short correlation range, cold)
+// pushes some cores past the beta * radius threshold, so both paths
+// are held to 1e-13 here.
+TEST(LeakageFold, TaylorPathMatchesScalarRefAcrossVariation)
+{
+    std::size_t taylor = 0, fallback = 0;
+    for (const double sigmaOverMu : {0.03, 0.09, 0.20}) {
+        for (const double phi : {0.1, 0.5, 1.0}) {
+            for (const double abb : {0.0, 0.8}) {
+                DieParams params;
+                params.variation.vthSigmaOverMu = sigmaOverMu;
+                params.variation.phi = phi;
+                params.abbStrength = abb;
+                const Die die(params, 0xF01D + static_cast<std::uint64_t>(
+                                                   phi * 10.0));
+                const LeakageModel model(params.leakage);
+                const VariationMap &map = die.variationMap();
+                for (std::size_t c = 0; c < die.numCores(); ++c) {
+                    const std::vector<double> samples =
+                        model.sampleCoreVth(map, die.floorplan(), c);
+                    const LeakageFold fold(samples);
+                    for (std::size_t l = 0; l < die.numLevels(); ++l) {
+                        for (const double t : {25.0, 60.0, 95.0, 150.0}) {
+                            const double beta =
+                                leakageBeta(params.leakage, t);
+                            if (beta * fold.radius() <=
+                                LeakageFold::kMaxBetaRadius)
+                                ++taylor;
+                            else
+                                ++fallback;
+                            const double v = die.voltage(l);
+                            EXPECT_TRUE(relClose(
+                                die.leakagePower(c, v, t),
+                                oracle::corePowerSampledRef(
+                                    model, samples, map.vthSigmaRandom(),
+                                    v, t, die.vthBias(c)),
+                                1e-13))
+                                << "sigma/mu=" << sigmaOverMu
+                                << " phi=" << phi << " abb=" << abb
+                                << " core=" << c << " v=" << v
+                                << " T=" << t;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(taylor, 10u * fallback);
+    EXPECT_GT(fallback, 0u);
+}
+
+// Samples spread far enough that beta * radius passes the threshold:
+// the fold must switch to the per-sample sum and still agree.
+TEST(LeakageFold, FallbackPastThresholdMatchesScalarRef)
+{
+    LeakageModel model;
+    const std::vector<double> samples = {0.12, 0.25, 0.25, 0.26, 0.38};
+    const LeakageFold fold(samples);
+    const double sigmaRandom = 0.02;
+    for (const double t : {25.0, 95.0, 150.0}) {
+        ASSERT_GT(leakageBeta(model.params(), t) * fold.radius(),
+                  LeakageFold::kMaxBetaRadius);
+        for (const double v : {0.60, 1.00}) {
+            EXPECT_TRUE(relClose(
+                model.corePowerFolded(fold, sigmaRandom, v, t, -0.01),
+                oracle::corePowerSampledRef(model, samples, sigmaRandom,
+                                            v, t, -0.01),
+                1e-13))
+                << "v=" << v << " T=" << t;
+        }
+    }
+}
+
+// A core whose samples are all equal folds to radius 0: the series is
+// its constant term, n, and leakage is the uniform-region value.
+TEST(LeakageFold, UniformSamplesFoldToTheirValue)
+{
+    LeakageModel model;
+    const std::vector<double> samples(36, 0.25);
+    const LeakageFold fold(samples);
+    EXPECT_EQ(fold.size(), 36u);
+    EXPECT_EQ(fold.radius(), 0.0);
+    EXPECT_EQ(fold.sumExp(12.0), 36.0);
+    EXPECT_TRUE(relClose(model.corePowerFolded(fold, 0.0, 0.9, 70.0),
+                         oracle::corePowerSampledRef(model, samples, 0.0,
+                                                     0.9, 70.0),
+                         1e-13));
 }
 
 TEST(FieldPair, CholeskyPairMatchesSequentialDraws)

@@ -574,6 +574,39 @@ TEST(FieldSampleCache, ReplaysGenerationBitIdentically)
     EXPECT_EQ(fieldSampleCacheSize(), 0u);
 }
 
+// The sample cache is FIFO-bounded at 16 entries: enough for the
+// largest default figure batch (10 dies) and a re-run of the previous
+// batch, without pinning dozens of 128x128 pairs.
+TEST(FieldSampleCache, HoldsSixteenEntries)
+{
+    clearFieldSampleCache();
+    for (std::uint64_t seed = 1; seed <= 17; ++seed) {
+        Rng rng(seed);
+        generateField(8, 0.5, rng);
+        EXPECT_EQ(fieldSampleCacheSize(), std::min<std::uint64_t>(seed, 16))
+            << "after " << seed << " inserts";
+    }
+    clearFieldSampleCache();
+}
+
+// A thread sweep re-manufactures the same 10-die batch once per
+// point. Every die must still be in the cache on the second pass: a
+// miss would insert a new entry, so an unchanged size proves that all
+// ten replayed.
+TEST(FieldSampleCache, TenDieSweepReplaysFromCache)
+{
+    clearFieldSampleCache();
+    const std::vector<Die> first = manufactureBatch(testParams(), 10, 0x5EE9);
+    ASSERT_EQ(fieldSampleCacheSize(), 10u);
+    const std::vector<Die> second =
+        manufactureBatch(testParams(), 10, 0x5EE9);
+    EXPECT_EQ(fieldSampleCacheSize(), 10u);
+    for (std::size_t d = 0; d < first.size(); ++d)
+        EXPECT_EQ(first[d].leakagePower(3, 0.9, 70.0),
+                  second[d].leakagePower(3, 0.9, 70.0));
+    clearFieldSampleCache();
+}
+
 // corePowerSampled on sampleCoreVth output is the exact fold
 // corePower performs — bit-equal, not just close — which is what lets
 // the Die pre-sample its field at manufacture without perturbing any

@@ -45,5 +45,6 @@ VARSCHED_TRACE="$trace_json" VARSCHED_THREADS=2 \
     VARSCHED_BENCH_JSON="$build/bench_traced.json" \
     "$build/bench/bench_fig13_weighted" > /dev/null
 "$build/tools/trace_summarize" "$trace_json" \
-    --expect physics. --expect pm.decide --expect sched.place \
+    --expect physics. --expect pm.decide --expect chip.snapshot \
+    --expect sched.place \
     --expect pool.task --expect experiment.trial
